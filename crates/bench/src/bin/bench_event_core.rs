@@ -1,5 +1,5 @@
-//! Event-core microbench: the cost of asking "did anything land?" under the
-//! discrete-event clock versus the per-step reference.
+//! Event-core microbench: the cost of asking "did anything land?" with the
+//! engine's indexed drain versus its linear-scan oracle.
 //!
 //! ```text
 //! cargo run -p sentinel-bench --release --bin bench_event_core
@@ -7,19 +7,16 @@
 //! ```
 //!
 //! The stepping-bound sweep is the case the event core exists for: a deep
-//! in-flight set polled far more often than copies complete, so the
-//! per-step path pays an O(in-flight) scan per poll while the event path
-//! answers from the ready-heap head in O(1). A full-training row shows the
-//! end-to-end effect on `SentinelRuntime::train`, where poll sites are
-//! identical and only the drain cost differs.
+//! in-flight set polled far more often than copies complete, so
+//! `MigrationEngine::drain_completed_scan` pays an O(in-flight) scan per
+//! poll while `MigrationEngine::drain_completed` (the only drain
+//! `MemorySystem::poll` uses) answers from the ready-heap head in O(1).
 //!
 //! The full run writes `results/BENCH_event_core.json`; smoke mode runs
 //! tiny sizes for CI and writes nothing, so timing noise never churns the
 //! recorded numbers.
 
-use sentinel_core::{fast_sized_for, SentinelConfig, SentinelRuntime};
-use sentinel_mem::{Direction, HmConfig, MigrationEngine, PageRange, TimeMode};
-use sentinel_models::{ModelSpec, ModelZoo};
+use sentinel_mem::{Direction, MigrationEngine, PageRange};
 use sentinel_util::{BenchResult, Bencher, Json, ToJson};
 
 /// An engine carrying `batches` staggered in-flight copies across all four
@@ -47,8 +44,8 @@ fn main() {
     // 2 Ki in-flight batches polled 20 k times: the deep-channel regime a
     // layer-stepping executor produces on migration-heavy sweeps. Smoke
     // mode shrinks everything to compile-and-run scale for CI.
-    let (batches, polls, train_steps, bencher) =
-        if smoke { (128u64, 512u64, 3usize, Bencher::new(1, 3)) } else { (2_048, 20_480, 8, Bencher::new(3, 15)) };
+    let (batches, polls, bencher) =
+        if smoke { (128u64, 512u64, Bencher::new(1, 3)) } else { (2_048, 20_480, Bencher::new(3, 15)) };
 
     let mut bench_results: Vec<BenchResult> = Vec::new();
     let mut rate_rows: Vec<Json> = Vec::new();
@@ -88,32 +85,6 @@ fn main() {
     bench_results.push(event);
     bench_results.push(per_step);
 
-    // --- End-to-end training: identical poll sites, cheaper drains. -----
-    let graph = ModelZoo::build(&ModelSpec::resnet(32, 8).with_scale(4)).unwrap();
-    let hm = fast_sized_for(HmConfig::optane_like().without_cache(), &graph, 0.2);
-    let mut train_results = Vec::new();
-    for (mode, name) in
-        [(TimeMode::EventDriven, "event_driven"), (TimeMode::PerStep, "per_step")]
-    {
-        let runtime = SentinelRuntime::new(SentinelConfig::default(), hm.clone()).with_time_mode(mode);
-        let r = bencher.run(&format!("event_core/train_resnet32/{name}"), || {
-            runtime.train(&graph, train_steps).unwrap().report.steady_step_ns()
-        });
-        println!("{}", r.summary_line());
-        train_results.push(r);
-    }
-    let train_speedup =
-        train_results[1].median_ns as f64 / train_results[0].median_ns.max(1) as f64;
-    println!("  train_resnet32: {train_speedup:.2}x");
-    rate_rows.push(Json::obj([
-        ("scenario", Json::Str("train_resnet32".to_owned())),
-        ("steps", (train_steps as u64).to_json()),
-        ("event_driven_ns", train_results[0].median_ns.to_json()),
-        ("per_step_ns", train_results[1].median_ns.to_json()),
-        ("speedup", train_speedup.to_json()),
-    ]));
-    bench_results.extend(train_results);
-
     if smoke {
         println!("smoke mode: skipping results/BENCH_event_core.json");
         return;
@@ -124,13 +95,12 @@ fn main() {
         (
             "note",
             Json::Str(
-                "Wall-clock of migration-completion polling under the event-driven \
-                 clock (MigrationEngine::drain_completed, O(1) ready-heap peek on a \
-                 miss) vs the per-step reference (drain_completed_scan, O(in-flight) \
-                 linear partition per poll), on a stepping-bound sweep with a deep \
-                 jittered in-flight set, plus end-to-end SentinelRuntime::train runs \
-                 differing only in TimeMode. The event-equivalence suite guarantees \
-                 both paths produce byte-identical reports, ledgers and traces."
+                "Wall-clock of migration-completion polling with the indexed drain \
+                 (MigrationEngine::drain_completed, O(1) ready-heap peek on a miss) \
+                 vs its linear-scan oracle (drain_completed_scan, O(in-flight) \
+                 partition per poll), on a stepping-bound sweep with a deep \
+                 jittered in-flight set. The chaos suite guarantees both drains \
+                 return the same batches and leave the engine in the same state."
                     .to_owned(),
             ),
         ),

@@ -1,33 +1,29 @@
 //! Planner microbench: the near-linear MIL solver and the allocation-free
-//! steady-state boundary path versus their preserved references.
+//! steady-state boundary path versus their oracles.
 //!
 //! ```text
 //! cargo run -p sentinel-bench --release --bin bench_planner
 //! SENTINEL_BENCH_SMOKE=1 cargo run -p sentinel-bench --bin bench_planner
 //! ```
 //!
-//! Three scenarios:
+//! Two scenarios:
 //!
 //! * `solve_mil` (per-candidate tensor sweep, O(L·R)) vs
 //!   `solve_mil_reference` (per-interval range queries, O(L²·t̄·log t̄)) on
 //!   a deep unrolled LSTM (≥ 512 layers) — the depth regime the quadratic
 //!   reference cannot reach — and on the standard scaled ResNet-32.
-//! * The steady-state boundary path: `interval_working_set` swept over
-//!   every layer of a managed-phase policy with the plan-time interval-set
-//!   table on vs off (per-call alloc + sort + dedup).
-//! * End-to-end `SentinelRuntime::train` with the table on vs off.
+//! * The steady-state boundary path: every layer's working set read from
+//!   the plan-time table (`IntervalSets::sorted`) vs the per-call
+//!   `Schedule::long_tensors_in` range query (alloc + sort + dedup), on the
+//!   plan `solve_mil` picks for the same two models.
 //!
 //! The full run writes `results/BENCH_planner.json`; smoke mode runs tiny
 //! sizes for CI and writes nothing, so timing noise never churns the
-//! recorded numbers. `tests/planner_equivalence_prop.rs` guarantees both
-//! sides of every pair are byte-identical.
+//! recorded numbers. `crates/core/tests/planner_equivalence_prop.rs`
+//! guarantees both sides of every pair are identical.
 
-use sentinel_core::{
-    fast_sized_for, solve_mil, solve_mil_reference, Schedule, SentinelConfig, SentinelPolicy,
-    SentinelRuntime,
-};
-use sentinel_dnn::Executor;
-use sentinel_mem::{HmConfig, MemorySystem};
+use sentinel_core::{solve_mil, solve_mil_reference, IntervalPlan, IntervalSets, Schedule};
+use sentinel_mem::HmConfig;
 use sentinel_models::{ModelFamily, ModelSpec, ModelZoo};
 use sentinel_profiler::Profiler;
 use sentinel_util::{BenchResult, Bencher, Json, ToJson};
@@ -42,19 +38,20 @@ fn deep_lstm(timesteps: u32) -> ModelSpec {
 fn main() {
     let smoke = std::env::var("SENTINEL_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
     // 255 timesteps → 512 layers in full mode; compile-and-run scale in CI.
-    let (timesteps, train_steps, bencher, ref_bencher) = if smoke {
-        (8u32, 3usize, Bencher::new(1, 3), Bencher::new(1, 2))
+    let (timesteps, bencher, ref_bencher) = if smoke {
+        (8u32, Bencher::new(1, 3), Bencher::new(1, 2))
     } else {
         // The quadratic reference takes seconds per solve at 512 layers:
         // fewer iterations there keep the run bounded without touching the
         // fast side's sample quality.
-        (255, 8, Bencher::new(3, 15), Bencher::new(1, 5))
+        (255, Bencher::new(3, 15), Bencher::new(1, 5))
     };
 
     let mut bench_results: Vec<BenchResult> = Vec::new();
     let mut rate_rows: Vec<Json> = Vec::new();
 
     // --- Solver: per-candidate sweep vs per-interval range queries. -----
+    // Both scenarios run on each model.
     let hm = HmConfig::optane_like();
     for (tag, spec) in [
         ("lstm_deep", deep_lstm(timesteps)),
@@ -85,72 +82,38 @@ fn main() {
         ]));
         bench_results.push(sweep);
         bench_results.push(reference);
-    }
 
-    // --- Steady-state boundary path: precomputed slices vs range query. --
-    // A managed-phase policy per table setting (profiling step + one
-    // managed step), then every layer's working-set query — the shape of
-    // the per-boundary demand check and the cluster arbiter's per-tenant
-    // probe.
-    let graph = ModelZoo::build(&deep_lstm(timesteps)).unwrap();
-    let layers = graph.num_layers();
-    let hm_deep = fast_sized_for(HmConfig::optane_like().without_cache(), &graph, 0.2);
-    let mut boundary_results = Vec::new();
-    for (table, name) in [(true, "table"), (false, "per_call")] {
-        let mem = MemorySystem::new(hm_deep.clone());
-        let mut exec = Executor::new(&graph, mem);
-        let mut policy =
-            SentinelPolicy::new(SentinelConfig::default().with_interval_set_table(table));
-        for _ in 0..2 {
-            exec.run_step(&mut policy).unwrap();
-        }
-        assert!(policy.stats().mil >= 1, "policy reached the managed phase");
-        let r = bencher.run(&format!("planner/working_set_{layers}l/{name}"), || {
-            let mut total = 0usize;
-            for layer in 0..layers {
-                total += policy.interval_working_set(layer).len();
-            }
-            total
+        // --- Steady-state boundary path: table slices vs range query. ---
+        // Every layer's working-set lookup on the plan the solver picks:
+        // the shape of the per-boundary demand check and the cluster
+        // arbiter's per-tenant probe.
+        let plan = IntervalPlan::new(solve_mil(&graph, &schedule, &profile, fast, 0, bw).unwrap().mil, layers);
+        let sets = IntervalSets::build(&schedule, &plan, Some(&profile));
+        let table = bencher.run(&format!("planner/working_set_{tag}_{layers}l/table"), || {
+            (0..layers).map(|layer| sets.sorted(plan.interval_of(layer)).len()).sum::<usize>()
         });
-        println!("{}", r.summary_line());
-        boundary_results.push(r);
-    }
-    let boundary_speedup =
-        boundary_results[1].median_ns as f64 / boundary_results[0].median_ns.max(1) as f64;
-    println!("  working_set sweep: {boundary_speedup:.1}x ({layers} layers)");
-    rate_rows.push(Json::obj([
-        ("scenario", Json::Str("boundary_working_set".to_owned())),
-        ("layers", (layers as u64).to_json()),
-        ("table_ns", boundary_results[0].median_ns.to_json()),
-        ("per_call_ns", boundary_results[1].median_ns.to_json()),
-        ("speedup", boundary_speedup.to_json()),
-    ]));
-    bench_results.extend(boundary_results);
-
-    // --- End-to-end training with the table on vs off. ------------------
-    let mut train_results = Vec::new();
-    for (table, name) in [(true, "table"), (false, "per_call")] {
-        let runtime = SentinelRuntime::new(
-            SentinelConfig::default().with_interval_set_table(table),
-            hm_deep.clone(),
-        );
-        let r = bencher.run(&format!("planner/train_lstm_deep/{name}"), || {
-            runtime.train(&graph, train_steps).unwrap().report.steady_step_ns()
+        let per_call = bencher.run(&format!("planner/working_set_{tag}_{layers}l/per_call"), || {
+            (0..layers)
+                .map(|layer| {
+                    let k = plan.interval_of(layer);
+                    schedule.long_tensors_in(plan.start_layer(k), plan.end_layer(k)).len()
+                })
+                .sum::<usize>()
         });
-        println!("{}", r.summary_line());
-        train_results.push(r);
+        println!("{}", table.summary_line());
+        println!("{}", per_call.summary_line());
+        let speedup = per_call.median_ns as f64 / table.median_ns.max(1) as f64;
+        println!("  working_set_{tag}: {speedup:.1}x ({layers} layers)");
+        rate_rows.push(Json::obj([
+            ("scenario", Json::Str(format!("boundary_working_set_{tag}"))),
+            ("layers", (layers as u64).to_json()),
+            ("table_ns", table.median_ns.to_json()),
+            ("per_call_ns", per_call.median_ns.to_json()),
+            ("speedup", speedup.to_json()),
+        ]));
+        bench_results.push(table);
+        bench_results.push(per_call);
     }
-    let train_speedup =
-        train_results[1].median_ns as f64 / train_results[0].median_ns.max(1) as f64;
-    println!("  train_lstm_deep: {train_speedup:.2}x");
-    rate_rows.push(Json::obj([
-        ("scenario", Json::Str("train_lstm_deep".to_owned())),
-        ("steps", (train_steps as u64).to_json()),
-        ("table_ns", train_results[0].median_ns.to_json()),
-        ("per_call_ns", train_results[1].median_ns.to_json()),
-        ("speedup", train_speedup.to_json()),
-    ]));
-    bench_results.extend(train_results);
 
     if smoke {
         println!("smoke mode: skipping results/BENCH_planner.json");
@@ -162,16 +125,15 @@ fn main() {
         (
             "note",
             Json::Str(
-                "Wall-clock of the near-linear planner path vs its preserved \
-                 references: solve_mil (per-candidate tensor sweep over the CSR \
-                 schedule index, O(L*R) across all candidates) vs \
-                 solve_mil_reference (per-interval range queries, O(L^2) with \
-                 per-call alloc+sort+dedup); interval_working_set served from the \
-                 plan-time interval-set table vs the per-call range query; and \
-                 end-to-end SentinelRuntime::train with the table on vs off. The \
-                 planner-equivalence suite guarantees every pair is \
-                 byte-identical (full MilSolution equality and train-report \
-                 identity)."
+                "Wall-clock of the near-linear planner path vs its oracles: \
+                 solve_mil (per-candidate tensor sweep over the CSR schedule \
+                 index, O(L*R) across all candidates) vs solve_mil_reference \
+                 (per-interval range queries, O(L^2) with per-call \
+                 alloc+sort+dedup); and every layer's working set read from the \
+                 plan-time IntervalSets table vs the per-call \
+                 Schedule::long_tensors_in range query. The planner-equivalence \
+                 suite guarantees every pair is identical (full MilSolution \
+                 equality; table slices equal to the range query)."
                     .to_owned(),
             ),
         ),

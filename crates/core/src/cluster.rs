@@ -48,7 +48,6 @@ use crate::policy::SentinelPolicy;
 use sentinel_dnn::{Executor, Graph, MemoryManager, TensorId, TrainReport};
 use sentinel_mem::{
     pages_for_bytes, FaultCounters, FaultInjector, FaultProfile, HmConfig, MemorySystem, Ns, Tier,
-    TimeMode,
 };
 use sentinel_util::{Json, ToJson};
 
@@ -87,17 +86,11 @@ pub struct ClusterConfig {
     /// allocatable before it is admitted; arrivals that cannot get it wait
     /// (FIFO) until capacity releases.
     pub min_quota_frac: f64,
-    /// Scale each tenant's migration-channel bandwidth to its weight share
-    /// of the active tenants (`false` gives every tenant the full
-    /// channels, as if migration bandwidth were not contended).
-    pub lane_shares: bool,
-    /// Memory-system clock mode for every tenant.
-    pub time_mode: TimeMode,
 }
 
 impl ClusterConfig {
     /// A default-policy configuration for the given fleet platform:
-    /// weighted max-min quotas, a 10% admission floor, lane shares on.
+    /// weighted max-min quotas and a 10% admission floor.
     #[must_use]
     pub fn new(hm: HmConfig) -> Self {
         ClusterConfig {
@@ -105,8 +98,6 @@ impl ClusterConfig {
             sentinel: SentinelConfig::default(),
             quota: QuotaPolicy::WeightedMaxMin,
             min_quota_frac: 0.1,
-            lane_shares: true,
-            time_mode: TimeMode::default(),
         }
     }
 
@@ -121,13 +112,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_min_quota_frac(mut self, frac: f64) -> Self {
         self.min_quota_frac = frac;
-        self
-    }
-
-    /// Enable or disable per-tenant migration lane shares.
-    #[must_use]
-    pub fn with_lane_shares(mut self, on: bool) -> Self {
-        self.lane_shares = on;
         self
     }
 
@@ -723,11 +707,9 @@ impl<'a, 'g> Run<'a, 'g> {
             let floor = self.min_pages(i);
             if let Slot::Active(a) = &mut self.slots[i] {
                 a.pending_quota = targets[k].max(floor).max(1);
-                if self.cfg.lane_shares {
-                    let w = self.jobs[i].weight;
-                    let g = gcd(w, total_weight);
-                    a.pending_share = (w / g, total_weight / g);
-                }
+                let w = self.jobs[i].weight;
+                let g = gcd(w, total_weight);
+                a.pending_share = (w / g, total_weight / g);
             }
         }
     }
@@ -781,7 +763,6 @@ impl<'a, 'g> Run<'a, 'g> {
     fn admit(&mut self, now: Ns, job: usize, quota: u64) -> Result<(), SentinelError> {
         let spec = &self.jobs[job];
         let mut mem = MemorySystem::new(self.cfg.hm.clone());
-        mem.set_time_mode(self.cfg.time_mode);
         if let Some((profile, seed)) = &spec.fault {
             mem.set_fault_injector(FaultInjector::new(*profile, *seed));
         }

@@ -43,12 +43,40 @@ pub struct SentinelStats {
     pub stall_pressure_ns: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Before/during warmup and the profiling step.
-    Profiling,
-    /// After reorganization: full Sentinel management.
-    Managed,
+/// Everything the managed phase plans with, built at the end of the
+/// profiling step. The interval plan and its working-set table are only
+/// ever set together ([`Managed::new`], [`Managed::replan`]), so every
+/// interval boundary reads precomputed slices.
+#[derive(Debug)]
+struct Managed {
+    schedule: Schedule,
+    profile: ProfileReport,
+    reorg: ReorgPlan,
+    plan: IntervalPlan,
+    sets: IntervalSets,
+    mil_solution: MilSolution,
+}
+
+impl Managed {
+    fn new(
+        schedule: Schedule,
+        profile: ProfileReport,
+        plan: IntervalPlan,
+        mil_solution: MilSolution,
+        hot_first: bool,
+    ) -> Self {
+        let sets = IntervalSets::build(&schedule, &plan, hot_first.then_some(&profile));
+        let reorg = ReorgPlan::new(&profile);
+        Managed { schedule, profile, reorg, plan, sets, mil_solution }
+    }
+
+    /// Swap in a re-solved plan, rebuilding its working-set table against
+    /// the current (possibly merged) profile.
+    fn replan(&mut self, plan: IntervalPlan, mil_solution: MilSolution, hot_first: bool) {
+        self.sets = IntervalSets::build(&self.schedule, &plan, hot_first.then_some(&self.profile));
+        self.plan = plan;
+        self.mil_solution = mil_solution;
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,21 +149,14 @@ pub struct EvictedTensor {
 #[derive(Debug)]
 pub struct SentinelPolicy {
     cfg: SentinelConfig,
-    phase: Phase,
     // Profiling-phase state.
     prof_pages: Vec<Option<PageRange>>,
     prof_layer_start: (Ns, Ns),
     prof_layer_times: Vec<Ns>,
     prof_recording: bool,
-    // Managed-phase state (built at the end of the profiling step).
-    schedule: Option<Schedule>,
-    profile: Option<ProfileReport>,
-    reorg: Option<ReorgPlan>,
-    plan: Option<IntervalPlan>,
-    /// Plan-time per-interval working-set table (None when
-    /// `cfg.interval_set_table` is off — the per-boundary reference path).
-    interval_sets: Option<IntervalSets>,
-    mil_solution: Option<MilSolution>,
+    /// Managed-phase plans: `None` through warmup and the profiling step,
+    /// built when the profiling step ends.
+    managed: Option<Managed>,
     reserve_pages: u64,
     live_short_bytes: u64,
     /// Per-tensor flag: a short-lived tensor allocated entirely in fast
@@ -184,17 +205,11 @@ impl SentinelPolicy {
         let adapt = cfg.adaptive.clone().map(AdaptState::new);
         SentinelPolicy {
             cfg,
-            phase: Phase::Profiling,
             prof_pages: Vec::new(),
             prof_layer_start: (0, 0),
             prof_layer_times: Vec::new(),
             prof_recording: false,
-            schedule: None,
-            profile: None,
-            reorg: None,
-            plan: None,
-            interval_sets: None,
-            mil_solution: None,
+            managed: None,
             reserve_pages: 0,
             live_short_bytes: 0,
             short_fast: Vec::new(),
@@ -223,13 +238,13 @@ impl SentinelPolicy {
     /// The profile collected by the profiling step, if finished.
     #[must_use]
     pub fn profile(&self) -> Option<&ProfileReport> {
-        self.profile.as_ref()
+        self.managed.as_ref().map(|m| &m.profile)
     }
 
     /// The interval-solver diagnostics, if solved.
     #[must_use]
     pub fn mil_solution(&self) -> Option<&MilSolution> {
-        self.mil_solution.as_ref()
+        self.managed.as_ref().map(|m| &m.mil_solution)
     }
 
     /// The first policy-level invariant violation found, if any (a
@@ -270,35 +285,13 @@ impl SentinelPolicy {
     /// Prefetch the long-lived tensors interval `k` (cyclic) will use,
     /// hottest first, within the fast-memory budget.
     fn prefetch_for_interval(&mut self, k: usize, ctx: &mut ExecCtx<'_>) {
-        let (Some(plan), Some(schedule), Some(profile)) =
-            (self.plan.as_ref(), self.schedule.as_ref(), self.profile.as_ref())
-        else {
-            return;
-        };
-        let k = k % plan.num_intervals();
-        let (s, e) = (plan.start_layer(k), plan.end_layer(k));
-        // Working set in migration order: a precomputed slice when the
-        // interval-set table is on (hot-first ordering baked in at plan
-        // time; the live/slow-resident filter moves into the loop, which is
-        // equivalent because migrating one tensor never changes another's
-        // liveness or slow-tier residency), the allocating reference query
-        // otherwise.
-        let filtered: Vec<TensorId>;
-        let tensors: &[TensorId] = match self.interval_sets.as_ref() {
-            Some(sets) => sets.prefetch_order(k),
-            None => {
-                let mut v: Vec<TensorId> = schedule
-                    .long_tensors_in(s, e)
-                    .into_iter()
-                    .filter(|&t| ctx.is_live(t) && ctx.tensor_bytes_in(t, Tier::Slow) > 0)
-                    .collect();
-                if self.cfg.hot_first {
-                    v.sort_by_key(|&t| std::cmp::Reverse(profile.tensor(t).mm_accesses));
-                }
-                filtered = v;
-                &filtered
-            }
-        };
+        let Some(m) = self.managed.as_ref() else { return };
+        let k = k % m.plan.num_intervals();
+        let (s, e) = (m.plan.start_layer(k), m.plan.end_layer(k));
+        // Working set in migration order, hot-first ordering baked in at plan
+        // time. The live/slow-resident filter runs inside the loop: migrating
+        // one tensor never changes another's liveness or slow-tier residency.
+        let tensors = m.sets.prefetch_order(k);
         let demand_only = self.adapt.as_ref().map(|a| &a.demand_only);
         let page_size = ctx.mem().page_size();
         let mut budget = self.free_for_long_pages(ctx);
@@ -364,11 +357,11 @@ impl SentinelPolicy {
     /// and fired in `(at, kind, seq)` order. The MigrationReady-before-
     /// IntervalBoundary tie-break is the executable `ready_at <= now`
     /// convention: a copy landing exactly on the boundary is observed by it
-    /// (Case 1), identically in the event-driven and per-step time modes.
+    /// (Case 1).
     fn handle_case3(&mut self, k: usize, ctx: &mut ExecCtx<'_>) {
         let now = ctx.now();
         let ready = ctx.mem().channel_free_at(Tier::Fast);
-        let layer = self.plan.as_ref().map_or(0, |p| p.start_layer(k));
+        let layer = self.managed.as_ref().map_or(0, |m| m.plan.start_layer(k));
         self.events.clear();
         self.events.schedule(now, EventKind::IntervalBoundary { interval: k, layer });
         self.events.schedule(ready, EventKind::MigrationReady);
@@ -502,7 +495,7 @@ impl SentinelPolicy {
         if demote_backlog > 4 * layer_ns.max(1_000_000) {
             return;
         }
-        let Some(schedule) = self.schedule.as_ref() else { return };
+        let Some(schedule) = self.managed.as_ref().map(|m| &m.schedule) else { return };
         // Direct CSR-slice iteration: no candidate Vec. Filtering inline is
         // equivalent — demoting one tensor never changes another's liveness.
         for &t in schedule.long_tensors_in_layer(layer) {
@@ -523,7 +516,7 @@ impl SentinelPolicy {
     /// Demote fast-resident long-lived tensors (farthest next use first)
     /// until `pages` pages can be freed, then wait for the copies.
     fn evict_for_pages(&mut self, exclude: TensorId, pages: u64, current_layer: usize, ctx: &mut ExecCtx<'_>) {
-        let Some(schedule) = self.schedule.as_ref() else { return };
+        let Some(schedule) = self.managed.as_ref().map(|m| &m.schedule) else { return };
         let mut victims: Vec<(std::cmp::Reverse<usize>, TensorId, u64)> = ctx
             .graph()
             .tensors()
@@ -562,15 +555,9 @@ impl SentinelPolicy {
     /// job. Empty before the profiling step finishes (no plan exists yet).
     #[must_use]
     pub fn interval_working_set(&self, layer: usize) -> Vec<TensorId> {
-        let (Some(plan), Some(schedule)) = (self.plan.as_ref(), self.schedule.as_ref()) else {
-            return Vec::new();
-        };
+        let Some(m) = self.managed.as_ref() else { return Vec::new() };
         // `interval_of` clamps out-of-range layers to the last interval.
-        let k = plan.interval_of(layer);
-        match self.interval_sets.as_ref() {
-            Some(sets) => sets.sorted(k).to_vec(),
-            None => schedule.long_tensors_in(plan.start_layer(k), plan.end_layer(k)),
-        }
+        m.sets.sorted(m.plan.interval_of(layer)).to_vec()
     }
 
     /// Demote *cold* fast-resident long-lived tensors — farthest next use
@@ -587,9 +574,7 @@ impl SentinelPolicy {
         pages: u64,
         ctx: &mut ExecCtx<'_>,
     ) -> Vec<EvictedTensor> {
-        let (Some(plan), Some(schedule)) = (self.plan.as_ref(), self.schedule.as_ref()) else {
-            return Vec::new();
-        };
+        let Some(Managed { plan, schedule, .. }) = self.managed.as_ref() else { return Vec::new() };
         // Between steps the next layer to execute is 0; its interval is the
         // working set the demotion must exclude.
         let boundary = plan.end_layer(plan.interval_of(0));
@@ -675,7 +660,7 @@ impl SentinelPolicy {
     /// just closed the previous record at the same instant, so coverage of
     /// a managed step is contiguous from layer 0 to the step's final poll.
     fn ledger_open(&mut self, k: usize, ctx: &ExecCtx<'_>) {
-        let Some(plan) = self.plan.as_ref() else { return };
+        let Some(plan) = self.managed.as_ref().map(|m| &m.plan) else { return };
         let stats = ctx.mem().stats();
         let faults = ctx.mem().fault_counters();
         // A lookahead prefetch for this interval may have been blocked for
@@ -793,21 +778,10 @@ impl SentinelPolicy {
         };
         let mil = self.cfg.mil_override.unwrap_or(solution.mil).min(graph.num_layers().max(1));
         let plan = IntervalPlan::new(mil.max(1), graph.num_layers().max(1));
-        if self.cfg.interval_set_table {
-            // One pass over the chosen plan: every boundary of every managed
-            // step reads these slices instead of re-querying the schedule.
-            let hot = self.cfg.hot_first.then_some(&profile);
-            self.interval_sets = Some(IntervalSets::build(&schedule, &plan, hot));
-        }
-        self.plan = Some(plan);
         self.stats.mil = mil.max(1);
         self.stats.reserve_pages = self.reserve_pages;
         self.stats.profiling_steps = self.cfg.profile_warmup as u64 + 1;
-        self.mil_solution = Some(solution);
-        self.reorg = Some(ReorgPlan::new(&profile));
-        self.profile = Some(profile);
-        self.schedule = Some(schedule);
-        self.phase = Phase::Managed;
+        self.managed = Some(Managed::new(schedule, profile, plan, solution, self.cfg.hot_first));
 
         // GPU mode: synchronize the pinned-memory profiling copies with the
         // device copies — a one-time cost of copying preallocated tensors.
@@ -907,7 +881,7 @@ impl SentinelPolicy {
             return;
         }
         let (layers, full) = adapt.divergent_layers(attribution.as_deref(), num_layers);
-        let mut tensors: Vec<TensorId> = match self.schedule.as_ref() {
+        let mut tensors: Vec<TensorId> = match self.managed.as_ref().map(|m| &m.schedule) {
             Some(schedule) if full => schedule.long_tensor_ids().to_vec(),
             Some(schedule) => layers
                 .iter()
@@ -945,8 +919,8 @@ impl SentinelPolicy {
             adapt.degrade_observation(&obs.tensors, "observation saw no resident pages");
             return;
         }
-        let Some(profile) = self.profile.as_mut() else { return };
-        profile.merge_observation(&deltas, &obs.layer_times);
+        let Some(m) = self.managed.as_mut() else { return };
+        m.profile.merge_observation(&deltas, &obs.layer_times);
         self.resolve_plan(&obs.tensors, ctx);
     }
 
@@ -973,33 +947,21 @@ impl SentinelPolicy {
                 reserve_bytes: fast_bytes.max(reserve_bytes),
             })
         } else {
-            let (Some(schedule), Some(profile)) = (self.schedule.as_ref(), self.profile.as_ref())
-            else {
-                return;
-            };
-            solve_mil(graph, schedule, profile, fast_bytes, reserve_bytes, bw)
+            let Some(m) = self.managed.as_ref() else { return };
+            solve_mil(graph, &m.schedule, &m.profile, fast_bytes, reserve_bytes, bw)
         };
         match solved {
             Ok(solution) => {
                 let mil =
                     self.cfg.mil_override.unwrap_or(solution.mil).min(graph.num_layers().max(1)).max(1);
                 let plan = IntervalPlan::new(mil, graph.num_layers().max(1));
-                let mut sets = None;
-                if self.cfg.interval_set_table {
-                    if let (Some(schedule), Some(profile)) =
-                        (self.schedule.as_ref(), self.profile.as_ref())
-                    {
-                        let hot = self.cfg.hot_first.then_some(profile);
-                        sets = Some(IntervalSets::build(schedule, &plan, hot));
-                    }
-                }
                 // Reconcile in-flight work queued for the outgoing plan.
                 let now = ctx.now();
                 ctx.mem_mut().cancel_pending_migrations(now);
-                self.plan = Some(plan);
-                self.interval_sets = sets;
+                if let Some(m) = self.managed.as_mut() {
+                    m.replan(plan, solution, self.cfg.hot_first);
+                }
                 self.stats.mil = mil;
-                self.mil_solution = Some(solution);
                 self.case3_states.clear();
                 self.case2_pending.clear();
                 self.interval_mark = None;
@@ -1051,55 +1013,43 @@ impl MemoryManager for SentinelPolicy {
 
     fn on_step_begin(&mut self, ctx: &mut ExecCtx<'_>) {
         self.trial_step_flag = false;
-        if self.phase == Phase::Profiling && ctx.step() == self.profiling_step_index() {
-            self.prof_recording = true;
-            ctx.mem_mut().start_profiling();
-        }
-        if self.phase == Phase::Managed && self.adapt.is_some() {
+        if self.managed.is_none() {
+            if ctx.step() == self.profiling_step_index() {
+                self.prof_recording = true;
+                ctx.mem_mut().start_profiling();
+            }
+        } else if self.adapt.is_some() {
             self.adapt_step_begin(ctx);
         }
     }
 
     fn pool_for(&mut self, tensor: &Tensor, _ctx: &ExecCtx<'_>) -> PoolSpec {
-        match self.phase {
+        match self.managed.as_ref() {
             // Page-aligned pool per tensor: page counts == tensor counts.
-            Phase::Profiling => PoolSpec::page_aligned(u64::from(tensor.id.0) + 1),
-            Phase::Managed => {
-                if self.cfg.coallocate {
-                    match self.reorg.as_ref() {
-                        Some(reorg) => reorg.pool_for(tensor),
-                        // Unreachable in a healthy run (the managed phase is
-                        // entered by finish_profiling, which builds the plan);
-                        // degrade to packed pooling instead of aborting.
-                        None => PoolSpec::default_packed(),
-                    }
-                } else {
-                    PoolSpec::default_packed()
-                }
-            }
+            None => PoolSpec::page_aligned(u64::from(tensor.id.0) + 1),
+            Some(m) if self.cfg.coallocate => m.reorg.pool_for(tensor),
+            Some(_) => PoolSpec::default_packed(),
         }
     }
 
     fn tier_for(&mut self, tensor: &Tensor, ctx: &ExecCtx<'_>) -> Tier {
-        match self.phase {
-            Phase::Profiling => Tier::Slow,
-            Phase::Managed => {
-                if tensor.is_short_lived() && self.cfg.reserve_short_lived {
-                    return Tier::Fast;
-                }
-                let pages = self.tensor_pages(tensor, ctx.mem().page_size());
-                if pages <= self.free_for_long_pages(ctx) {
-                    Tier::Fast
-                } else {
-                    Tier::Slow
-                }
-            }
+        if self.managed.is_none() {
+            return Tier::Slow;
+        }
+        if tensor.is_short_lived() && self.cfg.reserve_short_lived {
+            return Tier::Fast;
+        }
+        let pages = self.tensor_pages(tensor, ctx.mem().page_size());
+        if pages <= self.free_for_long_pages(ctx) {
+            Tier::Fast
+        } else {
+            Tier::Slow
         }
     }
 
     fn on_alloc(&mut self, tensor: TensorId, ctx: &mut ExecCtx<'_>) {
         let t = ctx.tensor(tensor);
-        if self.phase == Phase::Profiling {
+        if self.managed.is_none() {
             self.prof_pages[tensor.index()] = ctx.placement(tensor).map(|a| a.pages);
             return;
         }
@@ -1132,7 +1082,7 @@ impl MemoryManager for SentinelPolicy {
     }
 
     fn on_free(&mut self, tensor: TensorId, ctx: &mut ExecCtx<'_>) {
-        if self.phase == Phase::Managed {
+        if self.managed.is_some() {
             // A watched tensor dying mid-observation: finalize its fault
             // count now, before the pool reuses (and re-faults) its pages.
             if let Some(adapt) = self.adapt.as_mut() {
@@ -1161,12 +1111,12 @@ impl MemoryManager for SentinelPolicy {
     }
 
     fn on_capacity_pressure(&mut self, tier: Tier, needed_pages: u64, ctx: &mut ExecCtx<'_>) -> bool {
-        if tier != Tier::Fast || self.phase != Phase::Managed {
+        if tier != Tier::Fast {
             return false;
         }
         // Demote the long-lived fast-resident tensors with the farthest next
         // use until enough pages are freed, then wait for the copies.
-        let Some(schedule) = self.schedule.as_ref() else { return false };
+        let Some(schedule) = self.managed.as_ref().map(|m| &m.schedule) else { return false };
         let graph = ctx.graph();
         let current_layer = 0; // order by distance from step start is enough here
         let mut resident: Vec<(usize, TensorId, u64)> = graph
@@ -1210,7 +1160,7 @@ impl MemoryManager for SentinelPolicy {
         // GPU platform: compute cannot read host memory in place, so any
         // tensor still (partly) in slow memory when touched must be faulted
         // into device memory first — evicting the farthest-needed residents.
-        if self.phase != Phase::Managed
+        if self.managed.is_none()
             || ctx.mem().config().slow_directly_accessible
             || !ctx.is_live(tensor)
             || ctx.tensor_bytes_in(tensor, Tier::Slow) == 0
@@ -1255,12 +1205,12 @@ impl MemoryManager for SentinelPolicy {
 
     fn before_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {
         self.current_layer_hint = layer;
-        if self.phase == Phase::Profiling {
+        let Some(plan) = self.managed.as_ref().map(|m| &m.plan) else {
             if self.prof_recording {
                 self.prof_layer_start = (ctx.now(), ctx.breakdown().profiling_fault_ns);
             }
             return;
-        }
+        };
         if let Some(adapt) = self.adapt.as_mut() {
             // Attribute this layer's slow-memory traffic to its bucket.
             ctx.mem_mut().set_attribution_bucket(layer);
@@ -1270,7 +1220,6 @@ impl MemoryManager for SentinelPolicy {
                 }
             }
         }
-        let Some(plan) = self.plan.as_ref() else { return };
         if !plan.is_interval_start(layer) {
             return;
         }
@@ -1298,67 +1247,49 @@ impl MemoryManager for SentinelPolicy {
     }
 
     fn after_layer(&mut self, layer: usize, ctx: &mut ExecCtx<'_>) {
-        match self.phase {
-            Phase::Profiling => {
-                if self.prof_recording {
-                    let wall = ctx.now() - self.prof_layer_start.0;
-                    let fault = ctx.breakdown().profiling_fault_ns - self.prof_layer_start.1;
-                    self.prof_layer_times.push(wall.saturating_sub(fault));
-                }
+        let Some(m) = self.managed.as_ref() else {
+            if self.prof_recording {
+                let wall = ctx.now() - self.prof_layer_start.0;
+                let fault = ctx.breakdown().profiling_fault_ns - self.prof_layer_start.1;
+                self.prof_layer_times.push(wall.saturating_sub(fault));
             }
-            Phase::Managed => {
-                if let Some(adapt) = self.adapt.as_mut() {
-                    if let Some(obs) = adapt.observing.as_mut() {
-                        if let Some((l, t0, f0)) = obs.layer_mark.take() {
-                            if l == layer {
-                                let wall = ctx.now() - t0;
-                                let fault = ctx.breakdown().profiling_fault_ns - f0;
-                                obs.layer_times.push((l, wall.saturating_sub(fault)));
-                            } else {
-                                obs.layer_mark = Some((l, t0, f0));
-                            }
-                        }
+            return;
+        };
+        if let Some(adapt) = self.adapt.as_mut() {
+            if let Some(obs) = adapt.observing.as_mut() {
+                if let Some((l, t0, f0)) = obs.layer_mark.take() {
+                    if l == layer {
+                        let wall = ctx.now() - t0;
+                        let fault = ctx.breakdown().profiling_fault_ns - f0;
+                        obs.layer_times.push((l, wall.saturating_sub(fault)));
+                    } else {
+                        obs.layer_mark = Some((l, t0, f0));
                     }
                 }
-                let Some(plan) = self.plan.as_ref() else { return };
-                let k = plan.interval_of(layer);
-                let window = if self.cfg.lookahead { k + 2 } else { k + 1 };
-                let boundary = window * plan.mil;
-                // Eviction exists to make room for the upcoming prefetch
-                // (Section IV-D); when free space already covers the next
-                // interval's demand, moving tensors out only wastes
-                // bandwidth.
-                let next = (k + 1) % plan.num_intervals();
-                // Same set either way; the table path just skips the
-                // alloc + sort + dedup range query at every layer boundary.
-                let demand: u64 = if let Some(sets) = self.interval_sets.as_ref() {
-                    sets.sorted(next)
-                        .iter()
-                        .filter(|&&t| ctx.is_live(t))
-                        .map(|&t| ctx.tensor_bytes_in(t, Tier::Slow))
-                        .sum()
-                } else {
-                    self.schedule
-                        .as_ref()
-                        .map(|sch| {
-                            sch.long_tensors_in(plan.start_layer(next), plan.end_layer(next))
-                                .iter()
-                                .filter(|&&t| ctx.is_live(t))
-                                .map(|&t| ctx.tensor_bytes_in(t, Tier::Slow))
-                                .sum()
-                        })
-                        .unwrap_or(u64::MAX)
-                };
-                let free_bytes = self.free_for_long_pages(ctx) * ctx.mem().page_size();
-                if free_bytes < demand {
-                    self.evict_after_layer(layer, boundary, ctx);
-                }
             }
+        }
+        let k = m.plan.interval_of(layer);
+        let window = if self.cfg.lookahead { k + 2 } else { k + 1 };
+        let boundary = window * m.plan.mil;
+        // Eviction exists to make room for the upcoming prefetch (Section
+        // IV-D); when free space already covers the next interval's demand,
+        // moving tensors out only wastes bandwidth.
+        let next = (k + 1) % m.plan.num_intervals();
+        let demand: u64 = m
+            .sets
+            .sorted(next)
+            .iter()
+            .filter(|&&t| ctx.is_live(t))
+            .map(|&t| ctx.tensor_bytes_in(t, Tier::Slow))
+            .sum();
+        let free_bytes = self.free_for_long_pages(ctx) * ctx.mem().page_size();
+        if free_bytes < demand {
+            self.evict_after_layer(layer, boundary, ctx);
         }
     }
 
     fn on_step_end(&mut self, ctx: &mut ExecCtx<'_>) {
-        if self.phase == Phase::Profiling {
+        if self.managed.is_none() {
             if self.prof_recording {
                 self.prof_recording = false;
                 self.finish_profiling(ctx);

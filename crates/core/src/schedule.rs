@@ -171,8 +171,9 @@ pub struct IntervalSets {
 impl IntervalSets {
     /// Precompute the working set of every interval in `plan`. Passing a
     /// profile as `hot` orders the prefetch arena hottest-first by
-    /// `mm_accesses` (a stable sort, so the ascending-id order breaks ties —
-    /// exactly the order the per-boundary reference path produces).
+    /// `mm_accesses` (a stable sort, so the ascending-id order breaks ties).
+    /// `crates/core/tests/planner_equivalence_prop.rs` pins both arenas
+    /// against [`Schedule::long_tensors_in`] and that stable sort.
     #[must_use]
     pub fn build(schedule: &Schedule, plan: &IntervalPlan, hot: Option<&ProfileReport>) -> Self {
         let n = plan.num_intervals();

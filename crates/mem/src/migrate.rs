@@ -16,7 +16,9 @@
 //! makes `next_ready_at` available to event-driven callers, while drains
 //! still hand batches back in issue order so retry bookkeeping and traces are
 //! byte-identical to the historical linear scan. The scan survives as
-//! [`MigrationEngine::drain_completed_scan`], the per-step reference path.
+//! [`MigrationEngine::drain_completed_scan`], a test oracle that no
+//! production path calls: `crates/mem/tests/chaos_migration.rs` drives both
+//! drains through the same jittered enqueue/cancel/drain sequences.
 
 use crate::{Ns, PageRange, Tier};
 use std::cmp::Reverse;
@@ -266,9 +268,9 @@ impl MigrationEngine {
 
     /// Remove and return every batch completed by `now` via a linear scan.
     ///
-    /// The historical per-step reference path, preserved (like
-    /// `MemorySystem::access_per_page`) so the equivalence suite can pin the
-    /// indexed drain byte-identical to it.
+    /// Kept (like `MemorySystem::access_per_page`) as the oracle the chaos
+    /// suite pins [`MigrationEngine::drain_completed`] byte-identical to.
+    /// Production polls never call it.
     pub fn drain_completed_scan(&mut self, now: Ns) -> Vec<InFlight> {
         if !self.in_flight.values().any(|f| f.ready_at <= now) {
             return Vec::new();

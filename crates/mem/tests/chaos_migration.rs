@@ -7,13 +7,15 @@
 //! * fault counters are monotone over time;
 //! * the same seed reproduces the same run bit-for-bit;
 //! * a zero-rate injector leaves the system state identical to no injector;
+//! * the indexed completion drain matches the linear-scan oracle
+//!   ([`MigrationEngine::drain_completed_scan`]) under jittered completions;
 //! * real corruption surfaces as a typed [`MemError::InvariantViolation`],
 //!   not a panic.
 
 use sentinel_core::{fast_sized_for, SentinelConfig, SentinelRuntime};
 use sentinel_mem::{
     AccessKind, Direction, FaultCounters, FaultInjector, FaultProfile, HmConfig, MemError,
-    MemorySystem, MigrationEngine, PageRange, SanitizerMode, Tier, TimeMode, TraceLevel,
+    MemorySystem, MigrationEngine, PageRange, SanitizerMode, Tier,
 };
 use sentinel_models::{ModelSpec, ModelZoo};
 use sentinel_util::Rng;
@@ -145,11 +147,27 @@ fn training_survives_heavy_faults_and_stays_deterministic() {
     }
 }
 
+/// Every observable of two engines that must have evolved identically:
+/// the in-flight set in issue order, both channels' busy horizons, the
+/// quiescence time, the next event time and the per-direction totals.
+fn assert_same_engine_state(a: &MigrationEngine, b: &MigrationEngine, at: &str) {
+    assert!(a.in_flight().eq(b.in_flight()), "{at}: in-flight sets diverged");
+    assert_eq!(a.quiescent_at(), b.quiescent_at(), "{at}: quiescent_at diverged");
+    assert_eq!(a.next_ready_at(), b.next_ready_at(), "{at}: next_ready_at diverged");
+    for dir in [Direction::Promote, Direction::Demote] {
+        assert_eq!(a.busy_until(dir), b.busy_until(dir), "{at}: busy_until({dir:?}) diverged");
+        assert_eq!(a.moved_bytes(dir), b.moved_bytes(dir), "{at}: moved_bytes({dir:?}) diverged");
+        assert_eq!(a.batches(dir), b.batches(dir), "{at}: batches({dir:?}) diverged");
+    }
+}
+
 /// Injected stalls and jitter fire *through the event order*: a perturbed
 /// `ready_at` reorders the engine's ready-heap away from issue order, and
-/// the indexed event drain must still hand batches back exactly as the
-/// per-step linear-scan reference does — same batches, same issue order,
-/// same next-event time, through enqueues, cancels and staggered drains.
+/// the indexed event drain (the only drain production polls use) must
+/// still hand batches back exactly as the linear-scan oracle
+/// [`MigrationEngine::drain_completed_scan`] does — same batches, same
+/// issue order — and leave the engine in the same state after every
+/// enqueue, cancel and staggered drain.
 #[test]
 fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
     for seed in [2u64, 29, 0xFA17, 0xD15C0] {
@@ -159,6 +177,7 @@ fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
         let mut now = 0u64;
         let mut reordered = false;
         for round in 0..300 {
+            let at = format!("seed {seed} round {round}");
             match rng.gen_usize(0, 5) {
                 0..=1 => {
                     let range = PageRange::new(rng.gen_range(0, 512), rng.gen_range(1, 9));
@@ -171,7 +190,7 @@ fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
                     let failed = rng.gen_bool(0.2);
                     let a = indexed.enqueue_perturbed(range, dir, now, urgent, extra, failed, 0);
                     let b = reference.enqueue_perturbed(range, dir, now, urgent, extra, failed, 0);
-                    assert_eq!(a.ready_at, b.ready_at, "seed {seed} round {round}");
+                    assert_eq!(a, b, "{at}: enqueue diverged");
                     // An inversion: a later-issued batch completing before an
                     // earlier one (in_flight iterates in issue order).
                     let mut latest = 0;
@@ -183,64 +202,35 @@ fn jittered_ready_heap_drains_identically_to_the_scan_reference() {
                 2 => {
                     let a = indexed.cancel_pending(now);
                     let b = reference.cancel_pending(now);
-                    assert_eq!(a, b, "seed {seed} round {round}: cancel diverged");
+                    assert_eq!(a, b, "{at}: cancel diverged");
                 }
                 _ => {
                     now += rng.gen_range(1, 40_000);
-                    assert_eq!(
-                        indexed.next_ready_at(),
-                        reference.next_ready_at(),
-                        "seed {seed} round {round}"
-                    );
                     let a = indexed.drain_completed(now);
                     let b = reference.drain_completed_scan(now);
-                    assert_eq!(a, b, "seed {seed} round {round}: drain diverged");
+                    assert_eq!(a, b, "{at}: drain diverged");
                     // Issue order, not completion order.
-                    assert!(a.windows(2).all(|w| w[0].id < w[1].id), "seed {seed} round {round}");
+                    assert!(a.windows(2).all(|w| w[0].id < w[1].id), "{at}");
                 }
             }
+            assert_same_engine_state(&indexed, &reference, &at);
         }
         assert!(reordered, "seed {seed}: jitter never reordered the heap");
         now += 1 << 40;
         assert_eq!(indexed.drain_completed(now), reference.drain_completed_scan(now));
+        assert_same_engine_state(&indexed, &reference, &format!("seed {seed} final drain"));
         assert_eq!(indexed.next_ready_at(), None);
     }
 }
 
-/// Whole heavy-fault training runs are byte-identical across time modes:
-/// the event-driven clock replays exactly the per-step fault schedule,
-/// ledger included.
-#[test]
-fn heavy_fault_training_is_identical_across_time_modes() {
-    let graph = ModelZoo::build(&ModelSpec::resnet(20, 4).with_scale(4)).unwrap();
-    let hm = fast_sized_for(HmConfig::optane_like().without_cache(), &graph, 0.2);
-    let run = |mode: TimeMode| {
-        SentinelRuntime::new(SentinelConfig::default(), hm.clone())
-            .with_fault_injection(FaultProfile::heavy(), 0xFA17)
-            .with_sanitizer(SanitizerMode::Events)
-            .with_trace(TraceLevel::Full)
-            .with_time_mode(mode)
-            .train(&graph, 6)
-            .unwrap()
-    };
-    let event = run(TimeMode::EventDriven);
-    let step = run(TimeMode::PerStep);
-    assert!(total(&event.fault_counters) > 0, "heavy profile injected nothing");
-    assert_eq!(event.report, step.report);
-    assert_eq!(event.fault_counters, step.fault_counters);
-    assert_eq!(event.trace, step.trace);
-}
-
 /// A zero-rate injector consumes no entropy: the memory system ends up in
-/// exactly the same state as one with no injector at all — in both time
-/// modes, which must also agree with each other.
+/// exactly the same state as one with no injector at all.
 #[test]
 fn zero_rate_injector_is_state_transparent() {
-    let drive = |with_injector: bool, mode: TimeMode| {
+    let drive = |with_injector: bool| {
         let mut m = MemorySystem::new(
             HmConfig::testing().with_fast_capacity(32 * 4096).with_slow_capacity(256 * 4096),
         );
-        m.set_time_mode(mode);
         if with_injector {
             m.set_fault_injector(FaultInjector::new(FaultProfile::off(), 42));
         }
@@ -261,11 +251,7 @@ fn zero_rate_injector_is_state_transparent() {
         assert!(m.fault_counters().is_zero());
         trace
     };
-    let baseline = drive(false, TimeMode::EventDriven);
-    for mode in [TimeMode::EventDriven, TimeMode::PerStep] {
-        assert_eq!(baseline, drive(true, mode), "zero-rate injector changed behaviour ({mode:?})");
-        assert_eq!(baseline, drive(false, mode), "time mode changed behaviour ({mode:?})");
-    }
+    assert_eq!(drive(false), drive(true), "zero-rate injector changed behaviour");
 }
 
 /// Deliberate page-table corruption must surface as a typed error from the

@@ -8,8 +8,11 @@ cd "$(dirname "$0")/.."
 echo "== offline release build =="
 cargo build --release --offline
 
-echo "== offline test suite =="
+echo "== offline test suite (every workspace crate, via default-members) =="
 cargo test -q --offline
+
+echo "== perfbench's own tests (a separate workspace) =="
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "== parallel runner is deterministic (--jobs 1 vs --jobs 4) =="
 cargo test -q --offline --test parallel_determinism
@@ -20,20 +23,19 @@ cargo test -q --offline -p sentinel-mem --test access_equivalence_prop
 echo "== access-path bench compiles and runs (smoke mode, no results write) =="
 SENTINEL_BENCH_SMOKE=1 cargo run -q --offline -p sentinel-bench --bin bench_access_path
 
-echo "== event-driven time skips match the per-step reference =="
-cargo test -q --offline -p sentinel-core --test event_equivalence_prop
+echo "== a migration landing exactly on an interval boundary is Case 1 =="
 cargo test -q --offline -p sentinel-core --test boundary_tie
 
 echo "== event-core bench compiles and runs (smoke mode, no results write) =="
 SENTINEL_BENCH_SMOKE=1 cargo run -q --offline -p sentinel-bench --bin bench_event_core
 
-echo "== planner sweep and interval-set table match their references =="
+echo "== solve_mil and the interval-set table match their oracles (solve_mil_reference, long_tensors_in) =="
 cargo test -q --offline -p sentinel-core --test planner_equivalence_prop
 
 echo "== planner bench compiles and runs (smoke mode, no results write) =="
 SENTINEL_BENCH_SMOKE=1 cargo run -q --offline -p sentinel-bench --bin bench_planner
 
-echo "== chaos suite: randomized faults never break residency invariants =="
+echo "== chaos suite: residency invariants under faults; indexed drain matches the scan oracle =="
 cargo test -q --offline -p sentinel-mem --test chaos_migration
 
 echo "== zero-rate fault injection is byte-transparent =="

@@ -49,7 +49,6 @@ struct Scenario {
     /// Admission floor as a percentage of a job's peak footprint.
     min_pct: u64,
     static_quota: bool,
-    lane_shares: bool,
 }
 
 /// The model pool, built once: graphs are immutable and shared by borrow.
@@ -91,7 +90,6 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
         fleet_pct: *rng.choose(&[12, 20, 35, 60]),
         min_pct: *rng.choose(&[5, 10, 25]),
         static_quota: rng.gen_bool(0.3),
-        lane_shares: rng.gen_bool(0.8),
     }
 }
 
@@ -154,8 +152,7 @@ fn run_scenario(s: &Scenario) -> ClusterOutcome {
         if s.static_quota { QuotaPolicy::StaticWeighted } else { QuotaPolicy::WeightedMaxMin };
     let cfg = ClusterConfig::new(hm)
         .with_quota(quota)
-        .with_min_quota_frac(s.min_pct as f64 / 100.0)
-        .with_lane_shares(s.lane_shares);
+        .with_min_quota_frac(s.min_pct as f64 / 100.0);
     ClusterScheduler::new(cfg).run(&jobs).expect("cluster run completes")
 }
 
