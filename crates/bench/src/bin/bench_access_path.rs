@@ -1,7 +1,8 @@
 //! Access-path microbench: simulated-accesses-per-second through
 //! `MemorySystem::access` (the O(runs) fast path) versus
 //! `MemorySystem::access_per_page` (the kept per-page reference), on
-//! large-tensor workloads shaped like the experiment suite's hot loop.
+//! large-tensor sweeps and on mid-size tensors read back while partly
+//! resident in the cache filter, shaped like the experiment suite's hot loop.
 //!
 //! ```text
 //! cargo run -p sentinel-bench --release --bin bench_access_path
@@ -18,13 +19,71 @@
 use sentinel_mem::{AccessKind, HmConfig, MemoryModeSpec, MemorySystem, PageRange, Tier};
 use sentinel_util::{BenchResult, Bencher, Json, ToJson};
 
-/// One benchmark workload: a prepared system plus the access it sweeps.
+/// One step of a scenario's timed sweep.
+enum Step {
+    /// One `access` (or `access_per_page`) call with a full page of payload
+    /// per page.
+    Access(PageRange, AccessKind),
+    /// Unmap and remap in place, which drops the pages from the cache
+    /// filter as a migration's unmap does.
+    Remap(PageRange),
+}
+
+/// One benchmark workload: a prepared system plus the steps it sweeps.
 struct Scenario {
     name: &'static str,
     system: MemorySystem,
-    range: PageRange,
-    bytes: u64,
-    kind: AccessKind,
+    steps: Vec<Step>,
+}
+
+impl Scenario {
+    /// A scenario whose sweep is one access of `range`.
+    fn single(
+        name: &'static str,
+        system: MemorySystem,
+        range: PageRange,
+        kind: AccessKind,
+    ) -> Self {
+        Scenario {
+            name,
+            system,
+            steps: vec![Step::Access(range, kind)],
+        }
+    }
+
+    /// Pages accessed per sweep.
+    fn pages(&self) -> u64 {
+        self.steps
+            .iter()
+            .map(|s| match s {
+                Step::Access(r, _) => r.count,
+                Step::Remap(_) => 0,
+            })
+            .sum()
+    }
+}
+
+/// Run one sweep of `steps` through the batched or the per-page pipeline.
+fn sweep(system: &mut MemorySystem, steps: &[Step], page: u64, per_page: bool) -> u64 {
+    let mut mm_accesses = 0;
+    for step in steps {
+        match *step {
+            Step::Access(range, kind) => {
+                let bytes = range.count * page;
+                let report = if per_page {
+                    system.access_per_page(range, bytes, kind, 0)
+                } else {
+                    system.access(range, bytes, kind, 0)
+                };
+                mm_accesses += report.mm_accesses;
+            }
+            Step::Remap(range) => {
+                system.unmap(range, 0).unwrap();
+                system.map(range, Tier::Slow, 0).unwrap();
+            }
+        }
+    }
+    mm_accesses
 }
 
 /// Build the scenario set. Every scenario is driven identically through both
@@ -32,7 +91,6 @@ struct Scenario {
 /// so the wall-time ratio is a pure measure of the batching.
 fn scenarios(pages: u64) -> Vec<Scenario> {
     let cfg = HmConfig::optane_like();
-    let page = cfg.page_size;
     let mut out = Vec::new();
 
     // One huge co-allocated tensor in slow memory: a single PTE run, the
@@ -40,13 +98,7 @@ fn scenarios(pages: u64) -> Vec<Scenario> {
     let mut m = MemorySystem::new(cfg.clone());
     let r = m.reserve(pages);
     m.map(r, Tier::Slow, 0).unwrap();
-    out.push(Scenario {
-        name: "large_tensor_read",
-        system: m,
-        range: r,
-        bytes: pages * page,
-        kind: AccessKind::Read,
-    });
+    out.push(Scenario::single("large_tensor_read", m, r, AccessKind::Read));
 
     // The same tensor under profiling: every main-memory access faults and
     // is counted, exercising the bulk fault-recording path.
@@ -54,13 +106,7 @@ fn scenarios(pages: u64) -> Vec<Scenario> {
     let r = m.reserve(pages);
     m.map(r, Tier::Slow, 0).unwrap();
     m.start_profiling();
-    out.push(Scenario {
-        name: "large_tensor_profiled_write",
-        system: m,
-        range: r,
-        bytes: pages * page,
-        kind: AccessKind::Write,
-    });
+    out.push(Scenario::single("large_tensor_profiled_write", m, r, AccessKind::Write));
 
     // Alternating fast/slow blocks: several runs per access, the shape left
     // behind by partial promotion.
@@ -76,13 +122,7 @@ fn scenarios(pages: u64) -> Vec<Scenario> {
         first += count;
         to_fast = !to_fast;
     }
-    out.push(Scenario {
-        name: "mixed_tiers_read",
-        system: m,
-        range: r,
-        bytes: pages * page,
-        kind: AccessKind::Read,
-    });
+    out.push(Scenario::single("mixed_tiers_read", m, r, AccessKind::Read));
 
     // Memory Mode in the thrash regime the paper studies: the DRAM cache is
     // a quarter of the tensor, so the sweep streams through misses.
@@ -90,13 +130,31 @@ fn scenarios(pages: u64) -> Vec<Scenario> {
     m.enable_memory_mode(MemoryModeSpec { capacity_pages: pages / 4, ways: 8, tag_check_ns: 10 });
     let r = m.reserve(pages);
     m.map(r, Tier::Slow, 0).unwrap();
-    out.push(Scenario {
-        name: "memory_mode_thrash_write",
-        system: m,
-        range: r,
-        bytes: pages * page,
-        kind: AccessKind::Write,
-    });
+    out.push(Scenario::single("memory_mode_thrash_write", m, r, AccessKind::Write));
+
+    // Mid-size tensors, a quarter and three quarters of the sweep (4096 and
+    // 12288 pages against the filter's 8192 lines), written and then read
+    // back after the upper half was dropped from the cache: the read-back
+    // mixes hits on the resident lower part with misses, so most of the
+    // filter's sets hold lines of the range when it is probed.
+    for (name, count) in [
+        ("reread_quarter_half_resident", pages / 4),
+        ("reread_three_quarters_half_resident", 3 * pages / 4),
+    ] {
+        let mut m = MemorySystem::new(cfg.clone());
+        let r = m.reserve(count);
+        m.map(r, Tier::Slow, 0).unwrap();
+        let upper = PageRange::new(r.first + count / 2, count - count / 2);
+        out.push(Scenario {
+            name,
+            system: m,
+            steps: vec![
+                Step::Access(r, AccessKind::Write),
+                Step::Remap(upper),
+                Step::Access(r, AccessKind::Read),
+            ],
+        });
+    }
 
     out
 }
@@ -112,15 +170,16 @@ fn env_f64(key: &str) -> Option<f64> {
 
 fn main() {
     let smoke = std::env::var("SENTINEL_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
-    // 16 Ki pages == 64 MiB per sweep, comfortably past the cache filter's
-    // bypass threshold; smoke mode shrinks everything to compile-and-run
-    // scale for CI.
+    // 16 Ki pages == 64 MiB per sweep, twice the cache filter's capacity;
+    // smoke mode shrinks everything to compile-and-run scale for CI.
     let (pages, bencher) = if smoke { (1_024, Bencher::new(1, 3)) } else { (16_384, Bencher::new(3, 15)) };
+    let page = HmConfig::optane_like().page_size;
 
     let mut bench_results: Vec<BenchResult> = Vec::new();
     let mut rate_rows: Vec<Json> = Vec::new();
     for scenario in scenarios(pages) {
-        let Scenario { name, system, range, bytes, kind } = scenario;
+        let pages_per_sweep = scenario.pages();
+        let Scenario { name, system, steps } = scenario;
         // Both pipelines evolve identical state, so each gets its own copy
         // of the prepared system and the comparison stays apples-to-apples.
         let mut batched_sys = system;
@@ -131,24 +190,23 @@ fn main() {
             let idx = all.iter().position(|s| s.name == name).expect("same set");
             all.swap_remove(idx).system
         };
-        let batched = bencher
-            .run(&format!("access_path/{name}/batched"), || batched_sys.access(range, bytes, kind, 0));
-        let per_page = bencher.run(&format!("access_path/{name}/per_page"), || {
-            per_page_sys.access_per_page(range, bytes, kind, 0)
-        });
+        let batched =
+            bencher.run(&format!("access_path/{name}/batched"), || sweep(&mut batched_sys, &steps, page, false));
+        let per_page =
+            bencher.run(&format!("access_path/{name}/per_page"), || sweep(&mut per_page_sys, &steps, page, true));
         println!("{}", batched.summary_line());
         println!("{}", per_page.summary_line());
         let speedup = per_page.median_ns as f64 / batched.median_ns.max(1) as f64;
         println!(
             "  {name}: {:.3e} pages/s batched vs {:.3e} pages/s per-page ({speedup:.1}x)",
-            pages_per_second(range.count, batched.median_ns),
-            pages_per_second(range.count, per_page.median_ns),
+            pages_per_second(pages_per_sweep, batched.median_ns),
+            pages_per_second(pages_per_sweep, per_page.median_ns),
         );
         rate_rows.push(Json::obj([
             ("scenario", Json::Str(name.to_owned())),
-            ("pages_per_sweep", range.count.to_json()),
-            ("batched_pages_per_s", pages_per_second(range.count, batched.median_ns).to_json()),
-            ("per_page_pages_per_s", pages_per_second(range.count, per_page.median_ns).to_json()),
+            ("pages_per_sweep", pages_per_sweep.to_json()),
+            ("batched_pages_per_s", pages_per_second(pages_per_sweep, batched.median_ns).to_json()),
+            ("per_page_pages_per_s", pages_per_second(pages_per_sweep, per_page.median_ns).to_json()),
             ("speedup", speedup.to_json()),
         ]));
         bench_results.push(batched);
@@ -171,10 +229,13 @@ fn main() {
             Json::Str(
                 "Simulated-accesses-per-second (pages/s) through MemorySystem::access \
                  (O(runs) batched pipeline) vs MemorySystem::access_per_page (per-page \
-                 reference) on 64 MiB sweeps. runner_wallclock_jobs1_s is the wall-clock \
-                 of `run_experiments --jobs 1` before/after the batching, measured on the \
-                 same host. The equivalence property suite guarantees both pipelines \
-                 produce identical reports, stats and component state."
+                 reference) on 64 MiB sweeps, and on 16 MiB and 48 MiB tensors written \
+                 and read back after their upper half left the 32 MiB cache filter \
+                 (pages_per_sweep counts both accesses). runner_wallclock_jobs1_s is the \
+                 wall-clock of `run_experiments --jobs 1` before/after the change it was \
+                 recorded for, measured on the same host (see CHANGES.md). The \
+                 equivalence property suite guarantees both pipelines produce identical \
+                 reports, stats and component state."
                     .to_owned(),
             ),
         ),

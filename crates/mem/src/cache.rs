@@ -69,19 +69,15 @@ pub enum CacheOutcome {
     Miss,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    /// LRU stamp: larger == more recently used.
-    stamp: u64,
-}
+/// Tag of an empty way. No page of a [`PageRange`] can be `u64::MAX` (the
+/// range's end would overflow), so an empty way never matches a probe.
+const EMPTY: u64 = u64::MAX;
 
 /// Outcome of a batched [`CacheFilter::probe_range`].
 ///
 /// Equivalent to probing every page of the range in ascending order: the
-/// counters and final cache state are identical, but set/base derivation and
-/// LRU bookkeeping are shared across the whole range.
+/// counters and final cache state are identical, but each set that receives
+/// several pages of the range is resolved in closed form.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RangeProbe {
     /// Pages of the range that hit, in ascending order. Hits are bounded by
@@ -101,6 +97,11 @@ impl RangeProbe {
 
 /// A page-granular set-associative LRU cache filter.
 ///
+/// Each set keeps its tags in recency order: empty ways first, then the
+/// least recently used line, up to the most recently used line last. A hit
+/// moves its line to the back; a miss drops the front way (an empty way or
+/// the LRU victim) and installs the page at the back.
+///
 /// ```
 /// use sentinel_mem::{CacheFilter, CacheFilterSpec, CacheOutcome};
 ///
@@ -112,8 +113,9 @@ impl RangeProbe {
 pub struct CacheFilter {
     spec: CacheFilterSpec,
     sets: usize,
-    lines: Vec<Line>,
-    tick: u64,
+    ways: usize,
+    /// `sets × ways` tags, set-major, each set in recency order.
+    tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -123,11 +125,12 @@ impl CacheFilter {
     #[must_use]
     pub fn new(spec: CacheFilterSpec) -> Self {
         let sets = spec.sets();
+        let ways = spec.ways.max(1);
         CacheFilter {
             spec,
             sets,
-            lines: vec![Line { tag: 0, valid: false, stamp: 0 }; sets * spec.ways.max(1)],
-            tick: 0,
+            ways,
+            tags: vec![EMPTY; sets * ways],
             hits: 0,
             misses: 0,
         }
@@ -139,182 +142,113 @@ impl CacheFilter {
         &self.spec
     }
 
+    fn set_of(&self, page: u64) -> usize {
+        (page % self.sets as u64) as usize
+    }
+
+    fn ways_of_mut(&mut self, set: usize) -> &mut [u64] {
+        &mut self.tags[set * self.ways..(set + 1) * self.ways]
+    }
+
     /// Probe (and update) the cache for a page, returning hit or miss.
     /// A miss installs the page, evicting the set's LRU victim.
+    ///
+    /// # Panics
+    /// If `page` is `u64::MAX`, which no [`PageRange`] can contain.
     pub fn probe(&mut self, page: u64) -> CacheOutcome {
-        self.tick += 1;
-        let ways = self.spec.ways.max(1);
-        let set = (page as usize) % self.sets;
-        let base = set * ways;
-        let slots = &mut self.lines[base..base + ways];
-
-        if let Some(line) = slots.iter_mut().find(|l| l.valid && l.tag == page) {
-            line.stamp = self.tick;
-            self.hits += 1;
-            return CacheOutcome::Hit;
+        assert_ne!(page, EMPTY, "page u64::MAX is not addressable");
+        let set = self.set_of(page);
+        let outcome = touch(self.ways_of_mut(set), page);
+        match outcome {
+            CacheOutcome::Hit => self.hits += 1,
+            CacheOutcome::Miss => self.misses += 1,
         }
-
-        // Miss: install into invalid slot or LRU victim.
-        self.misses += 1;
-        let victim = &mut slots[victim_index(slots)];
-        victim.tag = page;
-        victim.valid = true;
-        victim.stamp = self.tick;
-        CacheOutcome::Miss
+        outcome
     }
 
     /// Probe every page of a contiguous range, batched.
     ///
-    /// Counters and final cache state are byte-identical to calling
+    /// Counters and final cache state are identical to calling
     /// [`CacheFilter::probe`] for each page in ascending order (the
-    /// equivalence property suite enforces this). Two optimizations apply:
-    /// set and base indices are derived once per set rather than per page,
-    /// and — the large-range bypass — once a set holds only lines touched by
-    /// this range, every remaining page of the range mapping to that set is
-    /// a compulsory miss (range pages are distinct), so the tail of the
-    /// per-set page sequence is resolved in O(ways) instead of O(pages).
+    /// equivalence property suites enforce this). Sets are independent, and
+    /// the range's pages in one set form an arithmetic progression, so the
+    /// range resolves set by set (see `probe_set`), in `O(ways)` plus its
+    /// hits per set, however many pages a set receives.
     pub fn probe_range(&mut self, range: PageRange) -> RangeProbe {
-        let mut out = RangeProbe::default();
-        if range.is_empty() {
-            return out;
-        }
-        let ways = self.spec.ways.max(1);
-        // Small ranges: the per-page loop is cheap and skips the per-set
-        // bookkeeping. Any threshold is correctness-neutral; 2× the line
-        // count is where the per-set pass starts winning.
-        if range.count < 2 * self.lines.len() as u64 {
-            for p in range.iter() {
-                match self.probe(p) {
-                    CacheOutcome::Hit => out.hit_pages.push(p),
-                    CacheOutcome::Miss => out.misses += 1,
-                }
-            }
-            return out;
-        }
-
-        let tick0 = self.tick;
-        self.tick += range.count;
         let sets = self.sets as u64;
-        // Scratch reused across sets; `ours[j]` marks slots whose line was
-        // installed or refreshed by this range (such lines can never match a
-        // later, strictly larger page of the range).
-        let mut ours = vec![false; ways];
-        let mut order: Vec<usize> = Vec::with_capacity(ways);
-        for set in 0..sets {
-            // Pages of `range` in this set form an arithmetic progression
-            // `first_p, first_p + sets, ...` below `range.end()`.
-            let offset = (set + sets - range.first % sets) % sets;
-            let first_p = range.first + offset;
-            if first_p >= range.end() {
-                continue;
+        let ways = self.ways;
+        // With at most one page per set, hits come out in page order.
+        // Otherwise they come out set by set; they all lie in the range's
+        // first `lines` pages (see `probe_set`), so a bitmap over those
+        // offsets puts them back in order.
+        let in_order = range.count <= sets;
+        let mut bitmap = if in_order {
+            Vec::new()
+        } else {
+            vec![0u64; range.count.min(self.tags.len() as u64).div_ceil(64) as usize]
+        };
+        let mut hit_pages = Vec::new();
+        let mut set_hits = Vec::with_capacity(ways);
+        let mut set = self.set_of(range.first);
+        // Page `first + j`, for `j < min(count, sets)`, opens the
+        // progression of one set; the first `count % sets` of them get one
+        // page more than the rest.
+        let (per_set, extra) = (range.count / sets, range.count % sets);
+        for j in 0..range.count.min(sets) {
+            let first_p = range.first + j;
+            let k = per_set + u64::from(j < extra);
+            let slots = &mut self.tags[set * ways..(set + 1) * ways];
+            set = if set + 1 == self.sets { 0 } else { set + 1 };
+            set_hits.clear();
+            // Both presets are 16-way; a fixed-length view lets the compiler
+            // unroll the per-set loops.
+            if let Ok(fixed) = <&mut [u64; 16]>::try_from(&mut *slots) {
+                probe_set(fixed, range, first_p, k, sets, &mut set_hits);
+            } else {
+                probe_set(slots, range, first_p, k, sets, &mut set_hits);
             }
-            let k = (range.end() - first_p).div_ceil(sets);
-            let base = set as usize * ways;
-            let slots = &mut self.lines[base..base + ways];
-
-            // Victim rotation order if every page were to miss: ascending
-            // (valid, stamp), ties broken by slot index (the sort is stable),
-            // matching `victim_index`'s first-minimum choice. Installs always
-            // stamp above `tick0`, so pre-existing lines keep their ranks.
-            order.clear();
-            order.extend(0..ways);
-            order.sort_by_key(|&j| victim_key(&slots[j]));
-
-            // Closed-form check: a pre-existing line can hit only if its page
-            // is probed no later than the rotation evicts it — probe index
-            // `(tag - first_p) / sets` at most its victim rank (probe `i`
-            // happens before eviction `i` lands). If no line qualifies,
-            // "every page misses" is self-consistent (the first hit would
-            // have to happen after its own eviction), and the whole set
-            // resolves below without the faithful per-page phase.
-            let may_hit = order.iter().enumerate().any(|(r, &j)| {
-                let l = &slots[j];
-                l.valid
-                    && first_p <= l.tag
-                    && l.tag < range.end()
-                    && (l.tag - first_p) / sets <= r as u64
-            });
-
-            // Phase 1: faithful per-page simulation until every line in the
-            // set belongs to this range (or the pages run out).
-            let mut idx = 0u64;
-            if may_hit {
-                ours.fill(false);
-                let mut ours_count = 0;
-                while idx < k && ours_count < ways {
-                    let p = first_p + idx * sets;
-                    let stamp = tick0 + (p - range.first) + 1;
-                    let j = match slots.iter().position(|l| l.valid && l.tag == p) {
-                        Some(j) => {
-                            slots[j].stamp = stamp;
-                            self.hits += 1;
-                            out.hit_pages.push(p);
-                            j
-                        }
-                        None => {
-                            self.misses += 1;
-                            out.misses += 1;
-                            let j = victim_index(slots);
-                            slots[j] = Line { tag: p, valid: true, stamp };
-                            j
-                        }
-                    };
-                    if !ours[j] {
-                        ours[j] = true;
-                        ours_count += 1;
-                    }
-                    idx += 1;
+            for &p in &set_hits {
+                if in_order {
+                    hit_pages.push(p);
+                } else {
+                    let off = p - range.first;
+                    bitmap[(off / 64) as usize] |= 1 << (off % 64);
                 }
-                // Phase 2's rotation starts from the stamps phase 1 left.
-                order.clear();
-                order.extend(0..ways);
-                order.sort_by_key(|&j| victim_key(&slots[j]));
-            }
-
-            // Phase 2: the remaining pages are compulsory misses. Victims
-            // rotate through the slots in ascending-stamp order, so the set
-            // ends up holding the last `ways` pages of the progression.
-            let m = k - idx;
-            if m == 0 {
-                continue;
-            }
-            self.misses += m;
-            out.misses += m;
-            let installs = m.min(ways as u64) as usize;
-            for (r, &j) in order.iter().enumerate().take(installs) {
-                // Installs land in order[r] at phase-2 indices ≡ r (mod ways);
-                // the slot keeps the last such page.
-                let r = r as u64;
-                let i_last = r + (m - 1 - r) / ways as u64 * ways as u64;
-                let p = first_p + (idx + i_last) * sets;
-                slots[j] = Line { tag: p, valid: true, stamp: tick0 + (p - range.first) + 1 };
             }
         }
-        out.hit_pages.sort_unstable();
+        for (w, &word) in bitmap.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                hit_pages.push(range.first + w as u64 * 64 + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        let out = RangeProbe {
+            misses: range.count - hit_pages.len() as u64,
+            hit_pages,
+        };
+        self.hits += out.hits();
+        self.misses += out.misses;
         out
     }
 
     /// Invalidate a page (e.g. after it is unmapped or migrated).
     pub fn invalidate(&mut self, page: u64) {
-        let ways = self.spec.ways.max(1);
-        let set = (page as usize) % self.sets;
-        let base = set * ways;
-        for line in &mut self.lines[base..base + ways] {
-            if line.valid && line.tag == page {
-                line.valid = false;
-            }
+        let set = self.set_of(page);
+        let slots = self.ways_of_mut(set);
+        if let Some(i) = slots.iter().position(|&t| t == page) {
+            slots.copy_within(..i, 1);
+            slots[0] = EMPTY;
         }
     }
 
     /// Invalidate every page of a range. For ranges wider than the cache it
-    /// sweeps the lines once instead of probing set-by-set per page; the
+    /// sweeps the sets once instead of probing set-by-set per page; the
     /// final state is identical either way.
     pub fn invalidate_range(&mut self, range: PageRange) {
-        if range.count as usize >= self.lines.len() {
-            for line in &mut self.lines {
-                if line.valid && range.contains(line.tag) {
-                    line.valid = false;
-                }
+        if range.count as usize >= self.tags.len() {
+            for slots in self.tags.chunks_exact_mut(self.ways) {
+                compact(slots, |t| !range.contains(t));
             }
         } else {
             for p in range.iter() {
@@ -325,9 +259,16 @@ impl CacheFilter {
 
     /// Drop all cached pages.
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        self.tags.fill(EMPTY);
+    }
+
+    /// Pages resident in `set` (a page's set is `page % spec().sets()`),
+    /// least recently used first.
+    pub fn resident_in_set(&self, set: usize) -> impl Iterator<Item = u64> + '_ {
+        self.tags[set * self.ways..(set + 1) * self.ways]
+            .iter()
+            .copied()
+            .filter(|&t| t != EMPTY)
     }
 
     /// Hits observed so far.
@@ -349,31 +290,89 @@ impl CacheFilter {
     }
 }
 
-/// Eviction priority of a line: invalid slots (key 0) go first, then lowest
-/// LRU stamp. Shared by `victim_index` and the batched probe's rotation order
-/// so the two paths cannot diverge.
-fn victim_key(l: &Line) -> u64 {
-    if l.valid {
-        l.stamp
-    } else {
-        0
+/// Probe one set's recency-ordered ways for `page`. A hit moves the line to
+/// the back; a miss drops the front way and installs `page` at the back.
+#[inline(always)]
+fn touch(slots: &mut [u64], page: u64) -> CacheOutcome {
+    let (from, outcome) = match slots.iter().rposition(|&t| t == page) {
+        Some(j) => (j, CacheOutcome::Hit),
+        None => (0, CacheOutcome::Miss),
+    };
+    slots.copy_within(from + 1.., from);
+    slots[slots.len() - 1] = page;
+    outcome
+}
+
+/// Probe the `k` pages `first_p, first_p + sets, ...` of `range` that fall
+/// into one set, and push the pages that hit.
+///
+/// One page is probed as such. More resolve in closed form:
+///
+/// * Every probed page ends up at the back of the set in probe order, hit
+///   or miss, so the set finishes as its old lines that did not hit, then
+///   the progression, truncated to `ways` from the front.
+/// * Only an old line whose page lies in the range can hit: pages of a
+///   range are distinct, so a page the range installs is never probed
+///   again. Such a line at way `pos` (front = 0) moves one way towards the
+///   front on every earlier probe of the set, except a hit on a line behind
+///   it, and is evicted once it would pass the front. Its page, `row` pages
+///   into the progression, therefore hits iff
+///   `row <= pos + (earlier hits behind it)`. Deciding from the back, those
+///   hits are already known. Since `pos + hits behind < ways`, every hit
+///   lies within the range's first `sets * ways` pages.
+#[inline(always)]
+fn probe_set(
+    slots: &mut [u64],
+    range: PageRange,
+    first_p: u64,
+    k: u64,
+    sets: u64,
+    hits: &mut Vec<u64>,
+) {
+    if k == 1 {
+        if touch(slots, first_p) == CacheOutcome::Hit {
+            hits.push(first_p);
+        }
+        return;
+    }
+    let ways = slots.len();
+    for pos in (0..ways).rev() {
+        let page = slots[pos];
+        // Every tag of this set lies on the progression's stride, so
+        // being inside the range means being one of its pages (an empty
+        // way's tag is past any range's end).
+        if page.wrapping_sub(range.first) >= range.count {
+            continue;
+        }
+        let behind = hits.iter().filter(|&&h| h < page).count();
+        if page - first_p <= (pos + behind) as u64 * sets {
+            hits.push(page);
+            slots[pos] = EMPTY;
+        }
+    }
+    let m = k.min(ways as u64) as usize;
+    if !hits.is_empty() && m < ways {
+        compact(slots, |t| t != EMPTY);
+    }
+    slots.copy_within(m.., 0);
+    let last = first_p + (k - 1) * sets;
+    for (back, slot) in slots.iter_mut().rev().take(m).enumerate() {
+        *slot = last - back as u64 * sets;
     }
 }
 
-/// Eviction victim of a set: the first slot minimising [`victim_key`].
-/// Shared by the per-page and batched probe paths so their choices cannot
-/// diverge.
-fn victim_index(slots: &[Line]) -> usize {
-    let mut best = 0;
-    let mut best_key = victim_key(&slots[0]);
-    for (j, l) in slots.iter().enumerate().skip(1) {
-        let k = victim_key(l);
-        if k < best_key {
-            best = j;
-            best_key = k;
+/// Keep the tags of a set that satisfy `keep`, in order, at the back, and
+/// empty the ways in front of them.
+#[inline(always)]
+fn compact(slots: &mut [u64], keep: impl Fn(u64) -> bool) {
+    let mut w = slots.len();
+    for r in (0..slots.len()).rev() {
+        if keep(slots[r]) {
+            w -= 1;
+            slots[w] = slots[r];
         }
     }
-    best
+    slots[..w].fill(EMPTY);
 }
 
 #[cfg(test)]
@@ -464,8 +463,8 @@ mod tests {
     #[test]
     fn probe_range_matches_per_page_small_and_large() {
         // Warm the filter with a stride pattern, then probe ranges around,
-        // inside and far beyond the 4-line capacity (the large-range bypass
-        // kicks in above 8 pages for this spec).
+        // inside and far beyond the 4-line capacity (sets that receive two
+        // or more pages resolve in closed form from 3 pages up).
         for warm_stride in [1u64, 2, 3, 7] {
             let mut c = CacheFilter::new(tiny_spec());
             for i in 0..6 {
@@ -484,6 +483,25 @@ mod tests {
                 assert_probe_equivalent(&mut c, range);
             }
         }
+    }
+
+    #[test]
+    fn probe_range_counts_a_hit_behind_an_older_line() {
+        // One set of 2 ways holding [7, 6] (7 least recent). Probing 6
+        // then 7 hits both: the hit on 6, behind 7, does not move 7 towards
+        // eviction.
+        let spec = CacheFilterSpec {
+            capacity_bytes: 2 * 4096,
+            ways: 2,
+            ..tiny_spec()
+        };
+        let mut c = CacheFilter::new(spec);
+        c.probe(7);
+        c.probe(6);
+        let probe = c.clone().probe_range(PageRange::new(6, 2));
+        assert_eq!(probe.hit_pages, vec![6, 7]);
+        assert_probe_equivalent(&mut c, PageRange::new(6, 2));
+        assert_eq!(c.resident_in_set(0).collect::<Vec<_>>(), vec![6, 7]);
     }
 
     #[test]

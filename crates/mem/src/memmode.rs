@@ -185,12 +185,28 @@ impl MemoryModeCache {
     /// bytes each, batched.
     ///
     /// Counters, timing and final cache state are identical to calling
-    /// [`MemoryModeCache::access`] for each page in ascending order. Like
-    /// [`crate::CacheFilter::probe_range`], large ranges are resolved per
-    /// set: once a set holds only lines touched by this range, the remaining
-    /// pages of the set's progression are compulsory misses whose cost is
-    /// uniform — except for the first eviction cycle, whose victims may be
-    /// pre-existing dirty lines and are accounted individually.
+    /// [`MemoryModeCache::access`] for each page in ascending order. Large
+    /// ranges are resolved per set, over the arithmetic progression
+    /// `first_p, first_p + sets, ...` of the range's pages in that set:
+    ///
+    /// * Each page is accessed once, in ascending order, so the page at
+    ///   offset `o` of the range gets stamp `tick0 + o + 1`; installs
+    ///   always stamp above `tick0`, so pre-existing lines keep their
+    ///   relative LRU ranks.
+    /// * If every page were to miss, victims would rotate through the slots
+    ///   in ascending `(valid, stamp)` order. A pre-existing line can hit
+    ///   only if its page is probed no later than that rotation evicts it:
+    ///   probe index `(tag - first_p) / sets` at most its victim rank. If no
+    ///   line qualifies, "every page misses" is self-consistent (the first
+    ///   hit would have to come after its own eviction), and the whole set
+    ///   resolves in closed form.
+    /// * Otherwise the set is simulated page by page until it holds only
+    ///   lines of this range; every later page of the progression is then a
+    ///   compulsory miss (range pages are distinct).
+    ///
+    /// Compulsory misses cost the same each, except in the first eviction
+    /// cycle, whose victims may be pre-existing dirty lines and are
+    /// accounted individually.
     pub(crate) fn access_run(
         &mut self,
         range: PageRange,
@@ -256,9 +272,8 @@ impl MemoryModeCache {
             let slots = &mut self.slots[base..base + ways];
 
             // Victim rotation order if every page were to miss: ascending
-            // (valid, stamp) with ties broken by slot index, matching
-            // `victim_index` (see `CacheFilter::probe_range` for the
-            // self-consistency argument shared by both caches).
+            // (valid, stamp) with ties broken by slot index (the sort is
+            // stable), matching `victim_index`'s first-minimum choice.
             order.clear();
             order.extend(0..ways);
             order.sort_by_key(|&j| victim_key(&slots[j]));

@@ -27,7 +27,8 @@ struct Access {
 #[derive(Clone, Debug)]
 struct Scenario {
     pages: u64,
-    cache: bool,
+    /// Cache filter geometry `(ways, sets)`, or no filter.
+    cache: Option<(usize, usize)>,
     memmode: bool,
     profiling: bool,
     /// `(first, count, to_fast)` map attempts (failures are fine — they fail
@@ -40,21 +41,24 @@ struct Scenario {
     accesses: Vec<Access>,
 }
 
-/// Small tiers and a deliberately tiny cache filter (2 sets × 2 ways), so the
-/// batched paths' large-range bypasses trigger at just a few pages.
-fn config(with_cache: bool) -> HmConfig {
+/// Cache filter geometries drawn per scenario: direct-mapped up to 16-way,
+/// one set up to eight, so ranges of a few pages already span several
+/// pages per set and exercise the batched probe's per-set resolution.
+const CACHE_WAYS: [usize; 4] = [1, 2, 4, 16];
+const CACHE_SETS: [usize; 4] = [1, 2, 3, 8];
+
+/// Small tiers and a tiny cache filter of `ways × sets` lines, if any.
+fn config(cache: Option<(usize, usize)>) -> HmConfig {
     let mut cfg = HmConfig::testing()
         .with_fast_capacity(256 * 4096)
         .with_slow_capacity(4096 * 4096);
-    if with_cache {
-        cfg.cache = Some(CacheFilterSpec {
-            capacity_bytes: 4 * 4096,
-            ways: 2,
-            line_bytes: 4096,
-            hit_latency_ns: 1,
-            hit_bw_bytes_per_ns: 100.0,
-        });
-    }
+    cfg.cache = cache.map(|(ways, sets)| CacheFilterSpec {
+        capacity_bytes: (ways * sets) as u64 * 4096,
+        ways,
+        line_bytes: 4096,
+        hit_latency_ns: 1,
+        hit_bw_bytes_per_ns: 100.0,
+    });
     cfg
 }
 
@@ -117,7 +121,9 @@ fn gen_scenario(rng: &mut Rng) -> Scenario {
         .collect();
     Scenario {
         pages,
-        cache: rng.gen_bool(0.7),
+        cache: rng
+            .gen_bool(0.7)
+            .then(|| (*rng.choose(&CACHE_WAYS), *rng.choose(&CACHE_SETS))),
         memmode: rng.gen_bool(0.4),
         profiling: rng.gen_bool(0.5),
         maps,
@@ -154,13 +160,15 @@ fn shrink_scenario(s: &Scenario) -> Vec<Scenario> {
         out.push(t);
     }
     for toggle in [
-        |t: &mut Scenario| t.cache = false,
+        |t: &mut Scenario| t.cache = None,
         |t: &mut Scenario| t.memmode = false,
         |t: &mut Scenario| t.profiling = false,
     ] {
         let mut t = s.clone();
         toggle(&mut t);
-        if (t.cache, t.memmode, t.profiling) != (s.cache, s.memmode, s.profiling) {
+        if (t.cache.is_some(), t.memmode, t.profiling)
+            != (s.cache.is_some(), s.memmode, s.profiling)
+        {
             out.push(t);
         }
     }

@@ -20,6 +20,9 @@ cargo test -q --offline --test parallel_determinism
 echo "== batched access path matches the per-page reference =="
 cargo test -q --offline -p sentinel-mem --test access_equivalence_prop
 
+echo "== cache filter matches a textbook LRU over many geometries =="
+cargo test -q --offline -p sentinel-mem --test cache_lru_prop
+
 echo "== access-path bench compiles and runs (smoke mode, no results write) =="
 SENTINEL_BENCH_SMOKE=1 cargo run -q --offline -p sentinel-bench --bin bench_access_path
 
